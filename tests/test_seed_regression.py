@@ -13,6 +13,12 @@ preset and the synthetic generator must reproduce them:
 * SHA-256 checksums over the generator's output arrays — these involve only
   elementwise IEEE arithmetic and the versioned-stable NumPy ``Generator``
   stream, so they are asserted exactly.
+
+The ``sb_mini_18`` goldens do not exercise any timing-feedback math: no
+endpoint fails during global placement there, so pin pairs stay empty, net
+weights stay at 1 and the three timing presets coincide bit for bit.  The
+*acting* goldens further down use ``sb_mini_1``, where every feedback fires
+and changes the placement.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ _FAST = dict(
 )
 
 # Recorded from commit b0983c6 (pre-PR-4) on sb_mini_18 scale 0.4, seed 0.
+# No endpoint fails during GP on this design, so these entries guard the
+# placement engine and the stage plumbing but not the feedback math: the
+# three timing presets below are identical for that reason.
 _PRESET_GOLDEN = {
     "efficient_tdp": {
         "hpwl": 24473.491025641026,
@@ -153,3 +162,120 @@ class TestPresetRegressionTraced:
         )
         # The run actually traced: the GP loop produced iteration spans.
         assert "gp.iteration" in tracer.metrics()["spans"]
+
+
+# ----------------------------------------------------------------------
+# Goldens where the timing feedback acts (sb_mini_1 scale 0.4, seed 0).
+# ----------------------------------------------------------------------
+_ROUTABILITY_GP_ACTING = dict(
+    max_iterations=60,
+    timing_start=20,
+    timing_interval=10,
+    congestion_start=10,
+    congestion_interval=10,
+    inflate=False,
+)
+
+# ``gp_*`` are checksums of the pre-legalization global-placement positions;
+# ``max_net_weight`` is the largest net weight the placer ended with.
+_ACTING_GOLDEN = {
+    "efficient_tdp": {
+        "gp_x_sum": 32825.78485692758,
+        "gp_y_sum": 34636.51603384758,
+        "gp_x_dot": 6268040.906473625,
+        "gp_y_dot": 6548567.9952567695,
+        "pin_pairs": 10,
+        "max_net_weight": 1.0,
+        "hpwl": 32405.856140350872,
+        "tns": -1719.1598192249048,
+        "wns": -101.92468112314094,
+    },
+    "dreamplace4": {
+        "gp_x_sum": 32791.06133446671,
+        "gp_y_sum": 34659.453935003556,
+        "gp_x_dot": 6261853.547640845,
+        "gp_y_dot": 6553387.072303004,
+        "pin_pairs": 0,
+        "max_net_weight": 1.1875,
+        "hpwl": 33129.33947368422,
+        "tns": -1851.2739696150918,
+        "wns": -104.42874270503847,
+    },
+    "differentiable_tdp": {
+        "gp_x_sum": 32821.81265516352,
+        "gp_y_sum": 34642.72642198291,
+        "gp_x_dot": 6267929.15114964,
+        "gp_y_dot": 6549708.992143976,
+        "pin_pairs": 10,
+        "max_net_weight": 1.0,
+        "hpwl": 32414.956140350878,
+        "tns": -1751.0839493949732,
+        "wns": -101.8309158455528,
+    },
+    "routability-gp": {
+        "gp_x_sum": 32854.150036402236,
+        "gp_y_sum": 34560.74567196716,
+        "gp_x_dot": 6268301.432743297,
+        "gp_y_dot": 6532665.126143207,
+        "pin_pairs": 0,
+        "max_net_weight": 1.5311816406249998,
+        "hpwl": 32487.95,
+        "tns": -1645.2863468544576,
+        "wns": -82.96630223282278,
+    },
+}
+
+_TIMING_PRESETS = ("efficient_tdp", "dreamplace4", "differentiable_tdp")
+
+
+@pytest.fixture(scope="module")
+def acting_runs():
+    """One run per preset on sb_mini_1 at 0.4 scale, shared by the tests."""
+    runs = {}
+    for preset in sorted(_ACTING_GOLDEN):
+        overrides = _ROUTABILITY_GP_ACTING if preset == "routability-gp" else _FAST
+        design = load_benchmark("sb_mini_1", scale=0.4)
+        runs[preset] = build_flow(preset, **overrides).run(design, seed=0)
+    return runs
+
+
+class TestActingFeedbackRegression:
+    """Goldens on a design where every timing feedback changes the placement."""
+
+    @pytest.mark.parametrize("preset", sorted(_ACTING_GOLDEN))
+    def test_acting_preset_matches_golden(self, acting_runs, preset):
+        result = acting_runs[preset]
+        ctx = result.context
+        golden = _ACTING_GOLDEN[preset]
+        gx, gy = ctx.placement.x, ctx.placement.y
+        assert float(np.sum(gx)) == pytest.approx(golden["gp_x_sum"], rel=1e-9)
+        assert float(np.sum(gy)) == pytest.approx(golden["gp_y_sum"], rel=1e-9)
+        assert float(np.dot(gx, np.arange(gx.size))) == pytest.approx(
+            golden["gp_x_dot"], rel=1e-9
+        )
+        assert float(np.dot(gy, np.arange(gy.size))) == pytest.approx(
+            golden["gp_y_dot"], rel=1e-9
+        )
+        pin_pairs = len(ctx.pin_pairs) if ctx.pin_pairs is not None else 0
+        assert pin_pairs == golden["pin_pairs"]
+        assert float(ctx.placer.net_weights.max()) == pytest.approx(
+            golden["max_net_weight"], rel=1e-9
+        )
+        ev = result.evaluation
+        assert ev.hpwl == pytest.approx(golden["hpwl"], rel=1e-9)
+        assert ev.tns == pytest.approx(golden["tns"], rel=1e-9)
+        assert ev.wns == pytest.approx(golden["wns"], rel=1e-9)
+
+    def test_timing_presets_place_differently(self, acting_runs):
+        placements = {
+            preset: (acting_runs[preset].context.placement.x,
+                     acting_runs[preset].context.placement.y)
+            for preset in _TIMING_PRESETS
+        }
+        for i, first in enumerate(_TIMING_PRESETS):
+            for second in _TIMING_PRESETS[i + 1:]:
+                ax, ay = placements[first]
+                bx, by = placements[second]
+                assert not (np.array_equal(ax, bx) and np.array_equal(ay, by)), (
+                    f"{first} and {second} produced the same placement"
+                )
