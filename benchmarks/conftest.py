@@ -3,7 +3,9 @@
 The expensive part — running every placer on every sb_mini design — is done
 once per pytest session and reused by the Table II / Table IV / Fig. 4 /
 Fig. 5 benchmarks.  Results (tables and machine-readable JSON) are written to
-``benchmarks/results/``.
+the untracked ``benchmarks/results/latest/``, so a test run never rewrites
+the committed tables in ``benchmarks/results/``; re-record those by copying
+the fresh files over them (see the README).
 """
 
 from __future__ import annotations
@@ -14,21 +16,23 @@ from typing import Dict
 
 import pytest
 
-from repro.baselines import (
-    DifferentiableTDPBaseline,
-    DreamPlace4Baseline,
-    DreamPlaceBaseline,
-)
 from repro.benchgen import benchmark_names, load_benchmark
-from repro.core import EfficientTDPConfig, EfficientTDPlacer
-from repro.placement import PlacementConfig
+from repro.flow import build_flow
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results", "latest")
 
 # The designs every cross-method table uses (the full sb_mini suite).
 SUITE = benchmark_names()
 
 METHODS = ["DREAMPlace", "DREAMPlace 4.0", "Differentiable-TDP", "Efficient-TDP (ours)"]
+
+# method -> (flow preset, config overrides)
+METHOD_FLOWS = {
+    "DREAMPlace": ("dreamplace", dict(max_iterations=450, seed=1, record_timing_every=15)),
+    "DREAMPlace 4.0": ("dreamplace4", {}),
+    "Differentiable-TDP": ("differentiable_tdp", {}),
+    "Efficient-TDP (ours)": ("efficient_tdp", {}),
+}
 
 
 def results_dir() -> str:
@@ -52,20 +56,11 @@ def save_text(name: str, text: str) -> str:
 
 def run_method(method: str, design_name: str):
     """Run one placer flow on a freshly generated copy of ``design_name``."""
-    design = load_benchmark(design_name)
-    if method == "DREAMPlace":
-        flow = DreamPlaceBaseline(
-            design, PlacementConfig(max_iterations=450, seed=1), record_timing_every=15
-        )
-    elif method == "DREAMPlace 4.0":
-        flow = DreamPlace4Baseline(design)
-    elif method == "Differentiable-TDP":
-        flow = DifferentiableTDPBaseline(design)
-    elif method == "Efficient-TDP (ours)":
-        flow = EfficientTDPlacer(design, EfficientTDPConfig())
-    else:
-        raise ValueError(f"Unknown method {method!r}")
-    return flow.run()
+    try:
+        preset, overrides = METHOD_FLOWS[method]
+    except KeyError as exc:
+        raise ValueError(f"Unknown method {method!r}") from exc
+    return build_flow(preset, **overrides).run(load_benchmark(design_name))
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,10 @@ from typing import Dict
 import pytest
 
 from benchmarks.conftest import save_json, save_text
-from repro.baselines import DreamPlace4Baseline
 from repro.benchgen import benchmark_names, load_benchmark
-from repro.core import EfficientTDPConfig, EfficientTDPlacer, ExtractionConfig
+from repro.core import ExtractionConfig
 from repro.evaluation import average_ratio, format_table
+from repro.flow import EfficientTDPConfig, build_flow
 
 ABLATION_DESIGNS = (
     benchmark_names()
@@ -46,7 +46,7 @@ ARMS = [
 def _run_arm(arm: str, design_name: str):
     design = load_benchmark(design_name)
     if arm == "w/o Path Extraction":
-        return DreamPlace4Baseline(design).run()
+        return build_flow("dreamplace4").run(design)
     config = EfficientTDPConfig()
     if arm == "w/ HPWL Loss":
         config.loss = "hpwl"
@@ -57,7 +57,7 @@ def _run_arm(arm: str, design_name: str):
                                              max_endpoints=200)
     elif arm == "w/ rpt_timing_ept(n,10)":
         config.extraction = ExtractionConfig(mode="endpoint", paths_per_endpoint=10)
-    return EfficientTDPlacer(design, config).run()
+    return build_flow("efficient_tdp", config).run(design)
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,11 @@ the subpackages for the full API:
 * :mod:`repro.netlist` — circuit data model and file I/O.
 * :mod:`repro.timing` — static timing analysis and critical path reporting.
 * :mod:`repro.placement` — analytical global placement and legalization.
-* :mod:`repro.core` — the paper's pin-to-pin attraction flow.
-* :mod:`repro.baselines` — DREAMPlace / DREAMPlace 4.0 / Differentiable-TDP
-  style comparison flows.
+* :mod:`repro.core` — the paper's critical path extraction and pin-to-pin
+  attraction objective.
+* :mod:`repro.feedback` — timing and congestion feedback inside the GP loop
+  (the paper's pin-pair attraction and the DREAMPlace 4.0 /
+  Differentiable-TDP style baselines).
 * :mod:`repro.benchgen` — synthetic ICCAD-2015-like benchmark generation.
 * :mod:`repro.evaluation` — shared HPWL/TNS/WNS scoring.
 * :mod:`repro.route` — routability: RUDY congestion estimation and the
@@ -20,8 +22,6 @@ the subpackages for the full API:
 
 from repro.benchgen import CircuitSpec, generate_circuit, load_benchmark, benchmark_names
 from repro.core import (
-    EfficientTDPConfig,
-    EfficientTDPlacer,
     ExtractionConfig,
     PinAttractionObjective,
     PinPairSet,
@@ -31,6 +31,7 @@ from repro.evaluation import Evaluator, evaluate_placement
 from repro.flow import (
     BatchJob,
     BatchReport,
+    EfficientTDPConfig,
     FlowContext,
     FlowResult,
     FlowRunner,
@@ -60,7 +61,6 @@ __all__ = [
     "load_benchmark",
     "benchmark_names",
     "EfficientTDPConfig",
-    "EfficientTDPlacer",
     "ExtractionConfig",
     "PinAttractionObjective",
     "PinPairSet",

@@ -11,16 +11,17 @@ Public API:
   pin-to-pin distance losses compared in Sec. III-C.
 * :class:`PinAttractionObjective` — the ``beta * PP(x, y)`` placement
   objective term (Eq. 6/10).
-* :class:`EfficientTDPlacer` — the complete timing-driven placement flow of
-  Fig. 1 (global placement -> periodic path-level timing analysis ->
-  pin-pair weighting -> legalization -> evaluation).
 * :class:`SinglePathOptimizer` — the single-path study behind Fig. 3.
+
+The complete flow of Fig. 1 (global placement -> periodic path-level timing
+analysis -> pin-pair weighting -> legalization -> evaluation) is the
+``efficient_tdp`` preset: ``repro.flow.build_flow("efficient_tdp")``, with
+the feedback itself in :class:`repro.feedback.PinPairAttractionFeedback`.
 """
 
 from repro.core.losses import HPWLPairLoss, LinearLoss, PairLoss, QuadraticLoss, make_loss
 from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
 from repro.core.path_extraction import CriticalPathExtractor, ExtractionConfig
-from repro.core.placer import EfficientTDPConfig, EfficientTDPlacer, TDPResult
 from repro.core.path_optimizer import SinglePathOptimizer, PathOptimizationResult
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "PinAttractionObjective",
     "CriticalPathExtractor",
     "ExtractionConfig",
-    "EfficientTDPConfig",
-    "EfficientTDPlacer",
-    "TDPResult",
     "SinglePathOptimizer",
     "PathOptimizationResult",
 ]

@@ -15,37 +15,43 @@ through one composition seam:
 * :class:`~repro.feedback.composer.WeightComposer` — merges several per-net
   weight proposals (timing criticality x congestion penalty) with shared
   momentum, clamping, and log-proportional normalization;
-* :class:`~repro.feedback.timing.TimingCriticalityWeighting` and
-  :class:`~repro.feedback.congestion.CongestionNetWeighting` — the two
-  shipped composable signals;
-* :class:`~repro.feedback.timing.StrategyFeedback` — adapter that runs the
-  legacy timing strategies through the scheduler bit-identically.
+* :mod:`~repro.feedback.timing` — the timing feedbacks of the paper and
+  its baselines (pin-pair attraction, momentum net weighting, smoothed
+  pin pairs, record-only) plus the composable
+  :class:`~repro.feedback.timing.TimingCriticalityWeighting`;
+* :class:`~repro.feedback.congestion.CongestionNetWeighting` — the
+  composable congestion signal.
 
-Flow integration lives in :class:`repro.flow.stages.FeedbackWeightStage`
-and the ``routability-gp`` preset.
+Flow integration lives in :class:`repro.flow.stages.FeedbackWeightStage`,
+the one stage every feedback-driven preset uses.
 """
 
 from repro.feedback.base import FeedbackCadence, FeedbackUpdate, PlacementFeedback
 from repro.feedback.composer import WeightComposer, WeightComposerConfig
 from repro.feedback.congestion import CongestionNetWeighting
-from repro.feedback.scheduler import (
-    CallbackFeedback,
-    FeedbackScheduler,
-    FeedbackSlot,
-    feedback_record,
+from repro.feedback.scheduler import FeedbackScheduler, FeedbackSlot, feedback_record
+from repro.feedback.timing import (
+    MomentumNetWeightFeedback,
+    PinPairAttractionFeedback,
+    RecordTimingFeedback,
+    SmoothPinPairFeedback,
+    TimingCriticalityWeighting,
+    TimingFeedback,
 )
-from repro.feedback.timing import StrategyFeedback, TimingCriticalityWeighting
 
 __all__ = [
-    "CallbackFeedback",
     "CongestionNetWeighting",
     "FeedbackCadence",
     "FeedbackScheduler",
     "FeedbackSlot",
     "FeedbackUpdate",
+    "MomentumNetWeightFeedback",
+    "PinPairAttractionFeedback",
     "PlacementFeedback",
-    "StrategyFeedback",
+    "RecordTimingFeedback",
+    "SmoothPinPairFeedback",
     "TimingCriticalityWeighting",
+    "TimingFeedback",
     "WeightComposer",
     "WeightComposerConfig",
     "feedback_record",

@@ -4,9 +4,8 @@ Global placement is a fixed-point iteration; everything "timing-driven",
 "routability-driven", or "X-driven" about a flow is a *feedback* folded into
 that iteration: periodically analyze the current positions, derive per-net
 weight adjustments (or extra objective terms), and let the placer keep
-going.  Before this module the repository had two parallel code paths for
-that idea — timing strategies wired through raw placer callbacks, and a
-separate post-place inflation loop — which could not compose.
+going.  The paper's pin-pair attraction, the baselines' net weighting and
+congestion weighting are all such feedbacks, so they compose on one seam.
 
 A :class:`PlacementFeedback` is the common shape:
 
@@ -20,7 +19,8 @@ A :class:`PlacementFeedback` is the common shape:
   current ``(x, y)`` and return a :class:`FeedbackUpdate` carrying an
   optional per-net *weight proposal* (a multiplicative boost, ``>= 1``) plus
   scalar metrics for the trajectory.  Feedbacks that mutate the placer
-  directly (legacy strategies, raw callbacks) return proposal-free updates.
+  directly (pin-pair attraction, momentum net weighting) return
+  proposal-free updates.
 * :meth:`~PlacementFeedback.finalize` — publish summary state once the
   placement loop ends.
 
@@ -51,8 +51,7 @@ class FeedbackCadence:
 
     A slot fires at iteration ``i`` when ``i >= start`` (warmup over),
     ``(i - start) % interval == 0`` (every K iterations), and ``i <= end``
-    when a cooldown boundary is set.  The default fires every iteration,
-    which is the raw-callback compatibility cadence.
+    when a cooldown boundary is set.  The default fires every iteration.
     """
 
     start: int = 0
@@ -96,8 +95,8 @@ class PlacementFeedback:
 
     Subclasses override :meth:`update`; the lifecycle hooks default to
     no-ops so simple feedbacks stay small.  ``resets_momentum`` tells the
-    scheduler whether an applied weight change from this feedback
-    invalidates the optimizer's Nesterov momentum.
+    scheduler whether a firing of this feedback that returns an update
+    changes the objective, so the optimizer's Nesterov momentum is stale.
     """
 
     name: str = "feedback"

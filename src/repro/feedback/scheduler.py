@@ -9,64 +9,33 @@ placement iteration.  It owns everything the feedback components must not:
   cooldown) and only fires when the cadence says so;
 * **composition** — weight proposals from fired slots are merged by the
   shared :class:`~repro.feedback.composer.WeightComposer` and applied via
-  ``placer.set_net_weights`` in one place (with one momentum reset), instead
-  of every feedback clobbering the weight vector independently.  Proposals
-  are cached per slot, so a slot on a slower cadence keeps contributing its
-  last opinion while faster slots fire — neither signal starves between its
-  own firings;
+  ``placer.set_net_weights`` in one place, instead of every feedback
+  clobbering the weight vector independently.  Proposals are cached per
+  slot, so a slot on a slower cadence keeps contributing its last opinion
+  while faster slots fire — neither signal starves between its own firings;
+* **momentum** — one rule: after a dispatch in which any fired slot whose
+  feedback ``resets_momentum`` returned an update, the optimizer's Nesterov
+  momentum is reset once (the objective just changed under it);
 * **accounting** — per-feedback wall-clock seconds, call counts, and the
   per-update trajectory rows (iteration, WNS, peak overflow, weight norm)
   that ``repro run --profile`` and the evaluation report surface.
-
-Raw per-iteration callbacks (``placer.add_callback``) ride through the same
-scheduler as :class:`CallbackFeedback` slots with the every-iteration
-cadence, which is what makes the legacy hook API a thin compatibility shim
-rather than a second dispatch path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.feedback.base import FeedbackCadence, FeedbackUpdate, PlacementFeedback
+from repro.feedback.base import FeedbackCadence, PlacementFeedback
 from repro.feedback.composer import WeightComposer
 from repro.obs import clock, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.placement.global_placer import GlobalPlacer
 
-__all__ = ["CallbackFeedback", "FeedbackSlot", "FeedbackScheduler", "feedback_record"]
-
-
-class CallbackFeedback(PlacementFeedback):
-    """Compatibility shim: a raw per-iteration callback as a feedback slot.
-
-    The callback mutates the placer directly (or just observes), so the slot
-    never proposes weights and never forces a momentum reset of its own.
-    """
-
-    resets_momentum = False
-
-    def __init__(
-        self,
-        fn: Callable[["GlobalPlacer", int, np.ndarray, np.ndarray], None],
-        name: str = "callback",
-    ) -> None:
-        self.fn = fn
-        self.name = name
-
-    def update(
-        self,
-        placer: "GlobalPlacer",
-        iteration: int,
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> Optional[FeedbackUpdate]:
-        self.fn(placer, iteration, x, y)
-        return None
+__all__ = ["FeedbackSlot", "FeedbackScheduler", "feedback_record"]
 
 
 @dataclass
@@ -139,10 +108,6 @@ class FeedbackScheduler:
         if calls is not None:
             self.calls = calls
 
-    @property
-    def has_slots(self) -> bool:
-        return bool(self.slots)
-
     # ------------------------------------------------------------------
     # Per-iteration dispatch
     # ------------------------------------------------------------------
@@ -179,11 +144,10 @@ class FeedbackScheduler:
                 continue
             fired.append(feedback.name)
             metrics.update(update.metrics)
+            reset_momentum = reset_momentum or feedback.resets_momentum
             if update.proposal is not None:
                 proposals[feedback.name] = update.proposal
                 self._last_proposals[feedback.name] = update.proposal
-                if feedback.resets_momentum:
-                    reset_momentum = True
         if proposals:
             if self.composer is None:
                 self.composer = WeightComposer()
@@ -192,9 +156,9 @@ class FeedbackScheduler:
             # produce jointly-weighted nets.
             weights = self.composer.compose(dict(self._last_proposals))
             placer.set_net_weights(weights)
-            if reset_momentum:
-                placer.reset_optimizer_momentum()
             metrics.update(self.composer.summary())
+        if reset_momentum:
+            placer.reset_optimizer_momentum()
         if fired:
             row: Dict[str, Any] = {"iteration": int(iteration), "fired": fired}
             row.update(metrics)

@@ -10,9 +10,9 @@ framework.  The pieces:
   a ``name`` and ``run(ctx)``.
 * :class:`~repro.flow.runner.FlowRunner` — executes an ordered stage list
   over a design and returns a :class:`~repro.flow.runner.FlowResult`.
-* :mod:`~repro.flow.stages` — the concrete stages and timing strategies.
+* :mod:`~repro.flow.stages` — the concrete stages.
 * :mod:`~repro.flow.presets` — named stage compositions (the Table II
-  methods) and the ``build_flow`` helper.
+  methods), their config dataclasses, and the ``build_flow`` helper.
 * :mod:`~repro.flow.batch` — run many designs concurrently and aggregate a
   :class:`~repro.flow.batch.BatchReport`.
 * :mod:`~repro.flow.cli` — the ``repro`` command-line entry point
@@ -24,38 +24,38 @@ Stage registry
 Stages self-register by name via the :func:`~repro.flow.stage.register_stage`
 class decorator, so flows can be assembled declaratively::
 
+    from repro.feedback import FeedbackCadence, PinPairAttractionFeedback
     from repro.flow import available_stages, create_stage, FlowRunner
 
     available_stages()
-    # ['evaluate', 'global_place', 'legalize', 'timing_weight']
+    # ['congestion', 'detailed_place', 'evaluate', 'feedback_weight',
+    #  'global_place', 'legalize', 'routability_repair']
 
     runner = FlowRunner([
-        create_stage("timing_weight", strategy="pin_pair",
-                     start_iteration=100, interval=10),
+        create_stage("feedback_weight", slots=[
+            (PinPairAttractionFeedback(), FeedbackCadence(start=100, interval=10)),
+        ]),
         create_stage("global_place"),
         create_stage("legalize"),
         create_stage("evaluate"),
     ])
     result = runner.run(design)
 
-``timing_weight`` accepts a strategy instance or one of the registered
-strategy names:
+Timing feedback attaches one way: a :class:`~repro.feedback.PlacementFeedback`
+scheduled by ``feedback_weight`` (see :mod:`repro.feedback.timing` for the
+paper's pin-pair attraction and the baselines' feedbacks).
 
-* ``pin_pair``    — the paper's critical-path extraction + Eq. 9 pin pairs;
-* ``net_weight``  — DREAMPlace 4.0-style momentum net weighting;
-* ``smooth_pair`` — Differentiable-TDP-style smoothed pin attraction;
-* ``record``      — observe-only TNS/WNS trajectory recording.
-
-Ordering convention: configuration stages (``timing_weight``) come *before*
-``global_place`` in the stage list because they hook into the placement loop
-via :attr:`FlowContext.placer_hooks`; post-processing stages (``legalize``,
-``evaluate``) come after.
+Ordering convention: configuration stages (``feedback_weight``) come
+*before* ``global_place`` in the stage list because they hook into the
+placement loop via :attr:`FlowContext.placer_hooks`; post-processing stages
+(``legalize``, ``evaluate``) come after.
 
 Flow presets
 ------------
 
 The shipped presets (``efficient_tdp``, ``dreamplace``, ``dreamplace4``,
-``differentiable_tdp``) are registered in :mod:`repro.flow.presets`::
+``differentiable_tdp``, ``routability``, ``routability-gp``) are registered
+in :mod:`repro.flow.presets` together with their config dataclasses::
 
     from repro.flow import build_flow
 
@@ -79,15 +79,15 @@ from repro.flow.stages import (
     FeedbackWeightStage,
     GlobalPlaceStage,
     LegalizeStage,
-    MomentumNetWeightStrategy,
-    PinPairAttractionStrategy,
-    RecordTimingStrategy,
-    SmoothPinPairStrategy,
     TimingWeightStage,
-    make_strategy,
 )
 from repro.flow.presets import (
+    DifferentiableTDPConfig,
+    DreamPlace4Config,
+    DreamPlaceConfig,
+    EfficientTDPConfig,
     FlowPreset,
+    TimingFlowConfig,
     build_flow,
     build_stages,
     get_preset,
@@ -110,11 +110,11 @@ __all__ = [
     "GlobalPlaceStage",
     "LegalizeStage",
     "TimingWeightStage",
-    "PinPairAttractionStrategy",
-    "MomentumNetWeightStrategy",
-    "SmoothPinPairStrategy",
-    "RecordTimingStrategy",
-    "make_strategy",
+    "DifferentiableTDPConfig",
+    "DreamPlace4Config",
+    "DreamPlaceConfig",
+    "EfficientTDPConfig",
+    "TimingFlowConfig",
     "FlowPreset",
     "build_flow",
     "build_stages",

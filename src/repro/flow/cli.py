@@ -340,11 +340,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         runner = build_flow(args.preset, **overrides)
     except AttributeError as exc:
         raise SystemExit(f"repro run: {exc}") from exc
-    from repro.flow.stages import FeedbackWeightStage, RoutabilityRepairStage
+    from repro.flow.stages import RoutabilityRepairStage
 
     # Guard on what the flow already contains, not on preset names, so the
     # flags are no-ops (instead of duplicating stages) on presets that ship
-    # the behavior — e.g. --routability on routability-gp.
+    # the behavior — e.g. --routability on routability-gp (and
+    # add_congestion_weighting leaves congestion-weighted flows unchanged).
     if getattr(args, "routability", False) and not any(
         isinstance(stage, RoutabilityRepairStage) for stage in runner.stages
     ):
@@ -358,9 +359,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise SystemExit(f"repro run: {exc}") from exc
-    if getattr(args, "congestion_weighting", False) and not any(
-        isinstance(stage, FeedbackWeightStage) for stage in runner.stages
-    ):
+    if getattr(args, "congestion_weighting", False):
         from repro.route.flow import add_congestion_weighting
 
         try:
@@ -426,9 +425,9 @@ def _profile_payload(
     feedback = result.context.metadata.get("feedback")
     if feedback and feedback.get("calls"):
         # Per-feedback breakdown: wall seconds and firings of every
-        # scheduled placement feedback (timing strategies, congestion
-        # weighting, raw callbacks), accumulated across the main placement
-        # and any refine placements.
+        # scheduled placement feedback (timing feedbacks, congestion
+        # weighting), accumulated across the main placement and any refine
+        # placements.
         payload["feedback"] = {
             "seconds": {
                 name: round(seconds, 6)
@@ -595,7 +594,7 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
         runner = build_flow(args.preset, **overrides)
     except AttributeError as exc:
         raise SystemExit(f"repro congestion: {exc}") from exc
-    from repro.flow.stages import FeedbackWeightStage, RoutabilityRepairStage
+    from repro.flow.stages import RoutabilityRepairStage
 
     stages = list(runner.stages)
     if args.routability and not any(
@@ -605,9 +604,7 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
             stages = add_routability(stages)
         except ValueError as exc:
             raise SystemExit(f"repro congestion: {exc}") from exc
-    if args.congestion_weighting and not any(
-        isinstance(stage, FeedbackWeightStage) for stage in stages
-    ):
+    if args.congestion_weighting:
         from repro.route.flow import add_congestion_weighting
 
         try:

@@ -2,8 +2,8 @@
 
 A :class:`FlowContext` is created once per :meth:`FlowRunner.run` and handed
 to every stage in order.  Stages communicate exclusively through it: the
-global placement stage publishes positions and history, the timing-weight
-stage publishes the shared STA engine, pin-pair set, and extraction
+global placement stage publishes positions and history, the timing
+feedbacks publish the shared STA engine, pin-pair set, and extraction
 statistics, legalization rewrites the positions, and evaluation attaches the
 final report.  Anything not worth a dedicated field goes into ``metadata``.
 """
@@ -33,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.timing.report import PathExtractionStats
 
 # A hook applied to the GlobalPlacer right after construction, before the
-# placement loop starts.  Timing stages use hooks to attach objective terms
-# and per-iteration callbacks without owning the placer.
+# placement loop starts.  The feedback stage uses hooks to schedule its
+# feedbacks (and their objective terms) without owning the placer.
 PlacerHook = Callable[["GlobalPlacer", "FlowContext"], None]
 
 

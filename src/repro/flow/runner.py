@@ -27,7 +27,7 @@ class FlowResult:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     flow_name: str = "custom"
 
-    # Convenience accessors mirroring the legacy result objects.
+    # Convenience accessors for the headline products of the run.
     @property
     def x(self) -> np.ndarray:
         x, _ = self.context.positions()

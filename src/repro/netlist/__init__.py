@@ -26,7 +26,7 @@ from repro.netlist.library import (
     make_generic_library,
 )
 from repro.netlist.core import DesignCore, Row, as_core
-from repro.netlist.design import Design, DesignArrays, Instance, Net, PinRef
+from repro.netlist.design import Design, Instance, Net, PinRef
 from repro.netlist.compiled import (
     CompiledDesign,
     SharedDesignHandle,
@@ -42,7 +42,6 @@ __all__ = [
     "TimingArcSpec",
     "make_generic_library",
     "Design",
-    "DesignArrays",
     "DesignCore",
     "as_core",
     "CompiledDesign",

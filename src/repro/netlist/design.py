@@ -33,7 +33,6 @@ from repro.utils.geometry import Rect
 
 __all__ = [
     "Design",
-    "DesignArrays",
     "DesignCore",
     "Instance",
     "Net",
@@ -528,7 +527,7 @@ class Design:
 
     @property
     def arrays(self) -> DesignCore:
-        """Alias of :attr:`core`, kept for the pre-core ``DesignArrays`` API."""
+        """Alias of :attr:`core` (the name the array kernels use)."""
         return self.core
 
     def positions(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -617,14 +616,3 @@ class Design:
             f"pins={self.num_pins})"
         )
 
-
-def DesignArrays(design: Design) -> DesignCore:
-    """Backwards-compatible constructor for the pre-core ``DesignArrays`` API.
-
-    The vectorized view used to be a separate class built from a design;
-    the :class:`DesignCore` *is* that view now (``design.arrays`` /
-    ``design.core`` after ``finalize()``).  This shim keeps the old
-    ``DesignArrays(design)`` call shape working by building a fresh core
-    from the design's current state.
-    """
-    return DesignCore.from_design(design)

@@ -3,9 +3,8 @@
 The package provides the nonlinear placement machinery the paper builds on
 (Sec. II-A): a smoothed wirelength model with analytic gradients, an
 electrostatics-based density penalty, a Nesterov-accelerated optimizer, and
-row-based legalization.  The timing-driven placers in :mod:`repro.core` and
-:mod:`repro.baselines` plug additional objective terms (net weights or
-pin-to-pin attraction) into :class:`GlobalPlacer`.
+row-based legalization.  The timing feedbacks in :mod:`repro.feedback` plug
+net weights or pin-to-pin attraction terms into :class:`GlobalPlacer`.
 """
 
 from repro.placement.wirelength import (

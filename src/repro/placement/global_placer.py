@@ -16,19 +16,18 @@ FeedbackScheduler` dispatches them once per iteration.  This is how the
 timing-driven placers run STA every ``m`` iterations, update net weights or
 pin-pair weights, and record TNS/WNS trajectories (Fig. 5) without the
 engine knowing anything about timing — and how congestion weighting merges
-into the same loop.  The legacy ``add_callback`` API remains as a thin shim
-over an every-iteration feedback slot.
+into the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.feedback.base import FeedbackCadence, PlacementFeedback
-from repro.feedback.scheduler import CallbackFeedback, FeedbackScheduler, FeedbackSlot
+from repro.feedback.scheduler import FeedbackScheduler, FeedbackSlot
 from repro.netlist.design import Design
 from repro.obs import active_tracer, clock, span
 from repro.placement.arena import IterationArena
@@ -41,8 +40,6 @@ from repro.utils.logging import get_logger
 from repro.utils.profiling import RuntimeProfiler
 
 logger = get_logger("placement.global")
-
-IterationCallback = Callable[["GlobalPlacer", int, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -175,15 +172,6 @@ class GlobalPlacer:
         slot = self.feedback.add(feedback, cadence)
         feedback.attach(self)
         return slot
-
-    def add_callback(self, callback: IterationCallback) -> None:
-        """Register a per-iteration hook ``callback(placer, iteration, x, y)``.
-
-        Compatibility shim over :meth:`add_feedback`: the callback becomes an
-        every-iteration :class:`~repro.feedback.scheduler.CallbackFeedback`
-        slot on the scheduler.
-        """
-        self.add_feedback(CallbackFeedback(callback))
 
     def set_net_weights(self, weights: np.ndarray) -> None:
         """Replace the per-net wirelength weights (net-weighting TDP flows).

@@ -32,6 +32,7 @@ from typing import List, Optional
 from repro.feedback.base import FeedbackCadence
 from repro.feedback.composer import WeightComposerConfig
 from repro.feedback.congestion import CongestionNetWeighting
+from repro.feedback.timing import MomentumNetWeightFeedback, TimingCriticalityWeighting
 from repro.placement.global_placer import PlacementConfig
 from repro.route.inflation import InflationConfig
 from repro.route.rudy import CongestionConfig
@@ -222,8 +223,6 @@ class RoutabilityGPConfig:
 
     def feedback_slots(self) -> List[tuple]:
         """The ``(feedback, cadence)`` pairs the preset schedules."""
-        from repro.feedback.timing import TimingCriticalityWeighting
-
         slots: List[tuple] = [
             (
                 CongestionNetWeighting(
@@ -269,14 +268,10 @@ def add_congestion_weighting(
     :class:`~repro.flow.stages.FeedbackWeightStage` scheduling a
     :class:`~repro.feedback.congestion.CongestionNetWeighting` inserted
     before the first global-placement stage (raises if the flow has none).
-    The original list is not modified.
+    A flow that already schedules congestion weighting comes back
+    unchanged.  The original list is not modified.
     """
-    from repro.flow.stages import (
-        FeedbackWeightStage,
-        GlobalPlaceStage,
-        MomentumNetWeightStrategy,
-        TimingWeightStage,
-    )
+    from repro.flow.stages import FeedbackWeightStage, GlobalPlaceStage
 
     place_positions = [
         i for i, stage in enumerate(stages) if isinstance(stage, GlobalPlaceStage)
@@ -286,22 +281,26 @@ def add_congestion_weighting(
             "--congestion-weighting requires a flow with a global_place "
             "stage (the weighting feedback runs inside the placement loop)"
         )
-    for stage in stages:
-        # A legacy strategy that *applies* net weights itself (momentum net
-        # weighting) and the composer would silently clobber each other's
-        # weight vector; refuse instead of corrupting both signals.  The
-        # pin-pair strategies attach objective terms, not net weights, so
-        # they compose fine.
-        if isinstance(stage, TimingWeightStage) and isinstance(
-            stage.strategy, MomentumNetWeightStrategy
-        ):
-            raise ValueError(
-                "--congestion-weighting cannot compose with the legacy "
-                "momentum net-weighting strategy (both own the net-weight "
-                "vector and would overwrite each other); use the "
-                "routability-gp preset, which composes timing criticality "
-                "and congestion through one WeightComposer"
-            )
+    scheduled = [
+        feedback
+        for stage in stages
+        if isinstance(stage, FeedbackWeightStage)
+        for feedback, _ in stage.slots
+    ]
+    if any(isinstance(feedback, CongestionNetWeighting) for feedback in scheduled):
+        # The flow already weights nets by congestion (routability-gp).
+        return list(stages)
+    if any(isinstance(feedback, MomentumNetWeightFeedback) for feedback in scheduled):
+        # Momentum net weighting *applies* net weights itself; it and the
+        # composer would silently clobber each other's weight vector, so
+        # refuse instead of corrupting both signals.  The pin-pair feedbacks
+        # attach objective terms, not net weights, so they compose fine.
+        raise ValueError(
+            "--congestion-weighting cannot compose with momentum "
+            "net-weighting (both own the net-weight vector and would overwrite "
+            "each other); use the routability-gp preset, which composes "
+            "timing criticality and congestion through one WeightComposer"
+        )
     weighting = FeedbackWeightStage(
         [
             (

@@ -5,7 +5,7 @@ criticality per net from the worst slack of the net's pins, and folds it into
 the net weights with a momentum term so weights grow smoothly across timing
 iterations (Eq. 5 of the paper).  This module reimplements that interface on
 top of the :class:`repro.timing.STAEngine`; it is used both by the
-DREAMPlace 4.0 baseline and by the paper's "w/o Path Extraction" ablation.
+``dreamplace4`` preset and by the paper's "w/o Path Extraction" ablation.
 """
 
 from __future__ import annotations
@@ -32,6 +32,19 @@ def net_worst_slack(design: Design, result: STAResult) -> np.ndarray:
     pin_slack = result.slack[arrays.net_pin_index]
     np.minimum.at(worst, csr_net, pin_slack)
     return worst
+
+
+def net_criticality(design: Design, result: STAResult) -> np.ndarray:
+    """Eq. 5 criticality of each net: its share of the worst negative slack.
+
+    ``clip(worst_slack / WNS, 0, 1)`` — 1 at the WNS net, 0 for nets whose
+    worst slack is non-negative or that carry no constrained pin.
+    """
+    worst = net_worst_slack(design, result)
+    wns = min(result.wns, -1e-12)
+    criticality = np.clip(worst / wns, 0.0, 1.0)
+    criticality[~np.isfinite(worst)] = 0.0
+    return criticality
 
 
 @dataclass
@@ -61,10 +74,7 @@ class MomentumNetWeighting:
         """Return updated net weights (the input array is not modified)."""
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError("decay must be within [0, 1]")
-        worst = net_worst_slack(design, result)
-        wns = min(result.wns, -1e-12)
-        criticality = np.clip(worst / wns, 0.0, 1.0)  # 1 at the WNS net, 0 if non-negative
-        criticality[~np.isfinite(worst)] = 0.0
+        criticality = net_criticality(design, result)
         target = weights * (1.0 + self.max_boost * criticality)
         updated = self.decay * weights + (1.0 - self.decay) * target
         return np.minimum(updated, self.max_weight)

@@ -9,7 +9,7 @@ Covers:
   weights;
 * :class:`FeedbackScheduler` dispatch inside a real ``GlobalPlacer`` run
   (cadenced firing, proposal caching across interleaved cadences, the
-  ``add_callback`` compat shim, per-feedback runtime accounting);
+  momentum-reset rule, per-feedback runtime accounting);
 * ``GlobalPlacer.set_net_weights`` input validation (satellite);
 * :class:`CongestionNetWeighting` SAT scoring against a naive per-net loop;
 * the ``routability-gp`` preset shape, trajectory/report plumbing, and the
@@ -236,17 +236,44 @@ class TestSchedulerInPlacer:
         assert placer.net_weights[0] > 3.9
         assert len(slow.fired) == 1 and len(fast.fired) == 21
 
-    def test_add_callback_shim_rides_scheduler(self, fresh_small_design):
+    def test_update_free_feedback_fires_every_iteration(self, fresh_small_design):
         placer = GlobalPlacer(
             fresh_small_design, PlacementConfig(max_iterations=10, seed=0)
         )
-        seen = []
-        placer.add_callback(lambda p, i, x, y: seen.append(i))
-        assert placer.feedback.has_slots
+        observer = _RecordingFeedback("observer")
+        placer.add_feedback(observer)
         placer.run()
-        assert seen == list(range(1, 11))
-        # Raw callbacks never appear in the trajectory (no metrics).
+        assert observer.fired == list(range(1, 11))
+        # Feedbacks that return no update never appear in the trajectory.
         assert placer.feedback.trajectory == []
+
+
+    def test_momentum_reset_rule(self, fresh_small_design, monkeypatch):
+        """One reset per dispatch in which a resetting feedback returned an
+        update; update-free or non-resetting firings never reset."""
+
+        class Metrics(PlacementFeedback):
+            def __init__(self, name, resets):
+                self.name = name
+                self.resets_momentum = resets
+
+            def update(self, placer, iteration, x, y):
+                return FeedbackUpdate(metrics={"val": 1.0})
+
+        placer = GlobalPlacer(
+            fresh_small_design, PlacementConfig(max_iterations=20, seed=0)
+        )
+        resets = []
+        monkeypatch.setattr(
+            placer, "reset_optimizer_momentum", lambda: resets.append(True)
+        )
+        placer.add_feedback(_RecordingFeedback("silent"), FeedbackCadence(start=1))
+        placer.add_feedback(Metrics("observe", False), FeedbackCadence(start=1))
+        placer.add_feedback(Metrics("a", True), FeedbackCadence(start=5, interval=5))
+        placer.add_feedback(Metrics("b", True), FeedbackCadence(start=10, interval=10))
+        placer.run()
+        # Resetting firings at 5, 10 (two slots, one reset), 15, 20.
+        assert len(resets) == 4
 
 
 class TestSetNetWeightsValidation:
@@ -446,8 +473,8 @@ class TestFeedbackFlowIntegration:
         assert result.summary()["feedback_updates"] == len(record["trajectory"])
 
     def test_timing_weight_presets_record_trajectory(self, fresh_small_design):
-        """The legacy strategies ride the scheduler: trajectory rows appear
-        for the pre-existing presets without changing their math."""
+        """The timing presets' feedbacks ride the scheduler: every firing
+        leaves a trajectory row with its TNS/WNS."""
         result = build_flow(
             "dreamplace4",
             max_iterations=40,
@@ -472,9 +499,12 @@ class TestFeedbackFlowIntegration:
         with pytest.raises(ValueError, match="global_place"):
             add_congestion_weighting([EvaluateStage()])
         assert any(isinstance(s, GlobalPlaceStage) for s in out)
+        # A flow that already weights nets by congestion comes back as is.
+        gp = build_stages("routability-gp", max_iterations=40)
+        assert add_congestion_weighting(gp) == gp
 
     def test_add_congestion_weighting_rejects_self_applying_strategy(self):
-        """Composing with a strategy that owns the net-weight vector itself
+        """Composing with a feedback that owns the net-weight vector itself
         (momentum net weighting) would clobber both signals: refuse."""
         from repro.route.flow import add_congestion_weighting
 

@@ -1,11 +1,15 @@
 """The flow pipeline subsystem: stage registry, runner, presets, legalization
 fallback, and beta auto-calibration."""
 
-import numpy as np
 import pytest
 
-from repro.core import EfficientTDPConfig, EfficientTDPlacer
+from repro.feedback import (
+    FeedbackCadence,
+    MomentumNetWeightFeedback,
+    PinPairAttractionFeedback,
+)
 from repro.flow import (
+    EfficientTDPConfig,
     FlowRunner,
     available_stages,
     build_flow,
@@ -17,10 +21,9 @@ from repro.flow import (
 )
 from repro.flow.stages import (
     EvaluateStage,
+    FeedbackWeightStage,
     GlobalPlaceStage,
     LegalizeStage,
-    PinPairAttractionStrategy,
-    TimingWeightStage,
 )
 from repro.netlist import Design, make_generic_library
 
@@ -34,23 +37,22 @@ FAST = dict(
 
 class TestStageRegistry:
     def test_all_core_stages_registered(self):
-        assert {"global_place", "timing_weight", "legalize", "evaluate"} <= set(
+        assert {"global_place", "feedback_weight", "legalize", "evaluate"} <= set(
             available_stages()
         )
 
     def test_create_stage_by_name(self):
         stage = create_stage("legalize")
         assert stage.name == "legalize"
-        stage = create_stage("timing_weight", strategy="net_weight", interval=5)
-        assert stage.interval == 5
+        stage = create_stage(
+            "feedback_weight",
+            slots=[(MomentumNetWeightFeedback(), FeedbackCadence(start=10, interval=5))],
+        )
+        assert stage.slots[0][1].interval == 5
 
     def test_unknown_stage_raises(self):
         with pytest.raises(KeyError, match="Unknown stage"):
             create_stage("no_such_stage")
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(KeyError, match="Unknown timing strategy"):
-            create_stage("timing_weight", strategy="no_such_strategy")
 
 
 class TestPresets:
@@ -75,7 +77,7 @@ class TestPresets:
     def test_build_stages_shapes(self):
         stages = build_stages("efficient_tdp", **FAST)
         assert [type(s) for s in stages] == [
-            TimingWeightStage,
+            FeedbackWeightStage,
             GlobalPlaceStage,
             LegalizeStage,
             EvaluateStage,
@@ -105,25 +107,11 @@ class TestFlowRunner:
         assert summary["overlap_area"] == pytest.approx(0.0, abs=1e-6)
         assert "pin_pairs" in summary
         assert set(result.stage_seconds) == {
-            "timing_weight",
+            "feedback_weight",
             "global_place",
             "legalize",
             "evaluate",
         }
-
-    def test_matches_legacy_placer_exactly(self, small_spec):
-        from repro.benchgen import generate_circuit
-
-        config = EfficientTDPConfig(**FAST)
-        legacy = EfficientTDPlacer(generate_circuit(small_spec), config).run()
-        pipeline = build_flow("efficient_tdp", config).run(
-            generate_circuit(small_spec), seed=config.seed
-        )
-        assert pipeline.evaluation.hpwl == legacy.evaluation.hpwl
-        assert pipeline.evaluation.tns == legacy.evaluation.tns
-        assert pipeline.evaluation.wns == legacy.evaluation.wns
-        np.testing.assert_array_equal(pipeline.x, legacy.x)
-        np.testing.assert_array_equal(pipeline.y, legacy.y)
 
     def test_incremental_sta_flow_matches_full(self, small_spec):
         """The pipelined flow with incremental STA reproduces the exact flow."""
@@ -185,7 +173,7 @@ class TestLegalizationFallback:
             min_timing_iterations=10,
             timing_update_interval=10,
         )
-        result = EfficientTDPlacer(_overfull_design(), config).run()
+        result = build_flow("efficient_tdp", config).run(_overfull_design())
         # The flow completes and evaluates even though Abacus failed.
         assert result.evaluation.hpwl > 0
 
@@ -206,42 +194,44 @@ class TestLegalizationFallback:
         assert meta["num_failed"] > 0
 
 
+def _pin_pair_feedback(runner: FlowRunner) -> PinPairAttractionFeedback:
+    (feedback, _cadence), = runner.stages[0].slots
+    assert isinstance(feedback, PinPairAttractionFeedback)
+    return feedback
+
+
 class TestBetaCalibration:
     def test_auto_mode_calibrates_once(self, small_spec):
         from repro.benchgen import generate_circuit
 
         config = EfficientTDPConfig(beta_mode="auto", **FAST)
-        flow = EfficientTDPlacer(generate_circuit(small_spec), config)
-        assert isinstance(flow.strategy, PinPairAttractionStrategy)
-        assert flow.strategy.beta_mode == "auto"
-        flow.run()
-        assert flow.strategy.beta_calibrated
+        runner = build_flow("efficient_tdp", config)
+        feedback = _pin_pair_feedback(runner)
+        assert feedback.beta_mode == "auto"
+        runner.run(generate_circuit(small_spec))
+        assert feedback.beta_calibrated
         # Calibration rescales the attraction strength away from the paper's
         # engine-specific literal.
-        assert flow.strategy.attraction.weight != config.beta
-        assert flow.strategy.attraction.weight > 0
+        assert feedback.attraction.weight != config.beta
+        assert feedback.attraction.weight > 0
 
     def test_literal_mode_keeps_beta(self, small_spec):
         from repro.benchgen import generate_circuit
 
         config = EfficientTDPConfig(beta_mode="literal", beta=3e-4, **FAST)
-        flow = EfficientTDPlacer(generate_circuit(small_spec), config)
-        flow.run()
-        assert flow.strategy.beta_calibrated  # literal mode never recalibrates
-        assert flow.strategy.attraction.weight == config.beta
+        runner = build_flow("efficient_tdp", config)
+        runner.run(generate_circuit(small_spec))
+        feedback = _pin_pair_feedback(runner)
+        assert feedback.beta_calibrated  # literal mode never recalibrates
+        assert feedback.attraction.weight == config.beta
 
     def test_calibration_ratio_scales_weight(self, small_spec):
         from repro.benchgen import generate_circuit
 
-        low = EfficientTDPlacer(
-            generate_circuit(small_spec),
-            EfficientTDPConfig(beta_auto_ratio=1.0, **FAST),
-        )
-        high = EfficientTDPlacer(
-            generate_circuit(small_spec),
-            EfficientTDPConfig(beta_auto_ratio=8.0, **FAST),
-        )
-        low.run()
-        high.run()
-        assert low.strategy.beta_calibrated and high.strategy.beta_calibrated
-        assert high.strategy.attraction.weight > low.strategy.attraction.weight
+        low = build_flow("efficient_tdp", beta_auto_ratio=1.0, **FAST)
+        high = build_flow("efficient_tdp", beta_auto_ratio=8.0, **FAST)
+        low.run(generate_circuit(small_spec))
+        high.run(generate_circuit(small_spec))
+        low, high = _pin_pair_feedback(low), _pin_pair_feedback(high)
+        assert low.beta_calibrated and high.beta_calibrated
+        assert high.attraction.weight > low.attraction.weight

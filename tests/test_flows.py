@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    DifferentiableTDPBaseline,
-    DifferentiableTDPConfig,
-    DreamPlace4Baseline,
-    DreamPlace4Config,
-    DreamPlaceBaseline,
-)
 from repro.benchgen import CircuitSpec, generate_circuit
-from repro.core import EfficientTDPConfig, EfficientTDPlacer, ExtractionConfig
-from repro.placement import PlacementConfig
+from repro.core import ExtractionConfig
+from repro.flow import build_flow
 from repro.timing import STAEngine
 from repro.weighting import MomentumNetWeighting, net_worst_slack, pin_criticality, smooth_pin_pair_weights
 
@@ -46,15 +39,12 @@ FAST_SCHEDULE = dict(
 
 @pytest.fixture(scope="module")
 def baseline_result(flow_spec):
-    return DreamPlaceBaseline(
-        make_design(flow_spec), PlacementConfig(max_iterations=220, seed=0)
-    ).run()
+    return build_flow("dreamplace", max_iterations=220, seed=0).run(make_design(flow_spec))
 
 
 @pytest.fixture(scope="module")
 def ours_result(flow_spec):
-    config = EfficientTDPConfig(**FAST_SCHEDULE)
-    return EfficientTDPlacer(make_design(flow_spec), config).run()
+    return build_flow("efficient_tdp", **FAST_SCHEDULE).run(make_design(flow_spec))
 
 
 class TestWeightingSchemes:
@@ -106,8 +96,8 @@ class TestEfficientTDPFlow:
         evaluation = ours_result.evaluation
         assert evaluation.overlap_area == pytest.approx(0.0, abs=1e-6)
         assert evaluation.out_of_die_cells == 0
-        assert ours_result.num_pin_pairs > 0
-        assert ours_result.extraction_stats, "timing iterations never ran"
+        assert len(ours_result.context.pin_pairs) > 0
+        assert ours_result.context.extraction_stats, "timing iterations never ran"
 
     def test_improves_tns_over_wirelength_baseline(self, ours_result, baseline_result):
         assert ours_result.evaluation.tns >= baseline_result.evaluation.tns
@@ -131,44 +121,36 @@ class TestEfficientTDPFlow:
         assert {"design", "hpwl", "tns", "wns", "runtime_sec", "pin_pairs"} <= set(summary)
 
     def test_literal_beta_mode(self, flow_spec):
-        config = EfficientTDPConfig(beta_mode="literal", beta=1e-4, **FAST_SCHEDULE)
-        result = EfficientTDPlacer(make_design(flow_spec), config).run()
+        result = build_flow(
+            "efficient_tdp", beta_mode="literal", beta=1e-4, **FAST_SCHEDULE
+        ).run(make_design(flow_spec))
         assert result.evaluation.hpwl > 0
 
     def test_report_timing_extraction_mode_runs(self, flow_spec):
-        config = EfficientTDPConfig(
+        result = build_flow(
+            "efficient_tdp",
             extraction=ExtractionConfig(mode="report_timing", max_endpoints=20),
             **FAST_SCHEDULE,
-        )
-        result = EfficientTDPlacer(make_design(flow_spec), config).run()
+        ).run(make_design(flow_spec))
         assert result.evaluation.hpwl > 0
 
     def test_linear_loss_ablation_runs(self, flow_spec):
-        config = EfficientTDPConfig(loss="linear", **FAST_SCHEDULE)
-        result = EfficientTDPlacer(make_design(flow_spec), config).run()
+        result = build_flow("efficient_tdp", loss="linear", **FAST_SCHEDULE).run(
+            make_design(flow_spec)
+        )
         assert result.evaluation.tns <= 0
 
 
 class TestBaselines:
     def test_dreamplace4_improves_tns(self, flow_spec, baseline_result):
-        config = DreamPlace4Config(
-            max_iterations=220,
-            timing_start_iteration=90,
-            min_timing_iterations=60,
-            timing_update_interval=10,
-        )
-        result = DreamPlace4Baseline(make_design(flow_spec), config).run()
+        result = build_flow("dreamplace4", **FAST_SCHEDULE).run(make_design(flow_spec))
         assert result.evaluation.tns >= baseline_result.evaluation.tns
         assert result.evaluation.overlap_area == pytest.approx(0.0, abs=1e-6)
 
     def test_differentiable_tdp_runs_and_is_legal(self, flow_spec):
-        config = DifferentiableTDPConfig(
-            max_iterations=220,
-            timing_start_iteration=90,
-            min_timing_iterations=60,
-            timing_update_interval=10,
+        result = build_flow("differentiable_tdp", **FAST_SCHEDULE).run(
+            make_design(flow_spec)
         )
-        result = DifferentiableTDPBaseline(make_design(flow_spec), config).run()
         assert result.evaluation.overlap_area == pytest.approx(0.0, abs=1e-6)
         assert "tns" in result.history.extra
 
@@ -180,10 +162,7 @@ class TestBaselines:
         assert ours_result.profiler.total("timing_analysis") > 0.0
 
     def test_baseline_records_timing_when_asked(self, flow_spec):
-        flow = DreamPlaceBaseline(
-            make_design(flow_spec),
-            PlacementConfig(max_iterations=120, seed=0),
-            record_timing_every=40,
-        )
-        result = flow.run()
+        result = build_flow(
+            "dreamplace", max_iterations=120, seed=0, record_timing_every=40
+        ).run(make_design(flow_spec))
         assert "tns" in result.history.extra

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.feedback import PlacementFeedback
 from repro.placement import (
     AbacusLegalizer,
     DetailedPlacer,
@@ -302,11 +303,18 @@ class TestGlobalPlacer:
         assert all(v >= 0 for v in result.history.overflow)
 
     def test_callback_invoked(self, fresh_small_design):
+        class Observer(PlacementFeedback):
+            def __init__(self):
+                self.seen = []
+
+            def update(self, placer, iteration, x, y):
+                self.seen.append(iteration)
+
         placer = GlobalPlacer(fresh_small_design, PlacementConfig(max_iterations=30, seed=0))
-        seen = []
-        placer.add_callback(lambda p, i, x, y: seen.append(i))
+        observer = Observer()
+        placer.add_feedback(observer)
         placer.run()
-        assert seen == list(range(1, 31))
+        assert observer.seen == list(range(1, 31))
 
     def test_positions_written_back(self, fresh_small_design):
         design = fresh_small_design
