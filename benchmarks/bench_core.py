@@ -24,6 +24,11 @@ Measures, for a few sb_mini designs:
   identical in-bench, and the traced/plain wall ratio is gated at <= 3%
   (``--max-tracing-overhead``); both numbers come from the same run, so
   the gate holds on any host;
+* critical-path extraction: one ``report_timing_endpoint(n, 1)`` over every
+  failing endpoint plus the Eq. 9 pin-pair update on a fresh STA result of
+  the seed-0 initial placement (``extract_ms``), versus the tuple-copying
+  reference heap and the dict-based ``_reference_update_from_paths`` twin,
+  both bitwise-asserted in-bench;
 * back-end walls: Abacus legalization (array-backed path versus the
   object-based ``_reference_legalize`` twin, bitwise-asserted in-bench)
   and delta-HPWL detailed placement versus the full-recompute
@@ -62,6 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.benchgen.suite import load_benchmark
+from repro.core import CriticalPathExtractor, PinPairSet
 from repro.feedback import CongestionNetWeighting, FeedbackCadence
 from repro.netlist.compiled import compile_design
 from repro.netlist.core import as_core
@@ -70,6 +76,7 @@ from repro.placement.global_placer import GlobalPlacer, PlacementConfig
 from repro.route.rudy import CongestionEstimator
 from repro.timing.mcmm import MultiCornerSTA
 from repro.timing.constraints import Corner
+from repro.timing.report import _reference_worst_paths_to_endpoint
 from repro.timing.sta import STAEngine
 
 DEFAULT_DESIGNS = ["sb_mini_18", "sb_mini_1", "sb_mini_10", "sb_cong_1"]
@@ -207,6 +214,49 @@ def _bench_backend(
     return fields
 
 
+def _bench_extraction(name: str, engine: STAEngine, result, *, repeat: int) -> dict:
+    """The paper's k = 1 extraction plus the Eq. 9 update on ``result``,
+    asserted bitwise against the reference heap and the dict fold."""
+    graph = engine.graph
+
+    def extract_and_update():
+        paths, stats = CriticalPathExtractor(engine).extract(result)
+        pairs = PinPairSet()
+        pairs.update_from_paths(paths, graph, result.wns)
+        return paths, stats, pairs
+
+    seconds, (paths, stats, pairs) = _time(extract_and_update, repeat=repeat)
+
+    def reference():
+        ref_paths = [
+            path
+            for endpoint in result.failing_endpoints.tolist()
+            for path in _reference_worst_paths_to_endpoint(engine, result, endpoint, 1)
+        ]
+        ref_pairs = PinPairSet()
+        ref_pairs._reference_update_from_paths(ref_paths, graph, result.wns)
+        return ref_paths, ref_pairs
+
+    reference_seconds, (ref_paths, ref_pairs) = _time(reference, repeat=1)
+    same_arrival = (
+        np.array([p.arrival for p in paths]).tobytes()
+        == np.array([p.arrival for p in ref_paths]).tobytes()
+    )
+    if list(paths) != ref_paths or not same_arrival:
+        raise AssertionError(f"{name}: k = 1 extraction differs from the reference heap")
+    for fast, ref in zip(pairs.as_arrays(), ref_pairs.as_arrays()):
+        if fast.tobytes() != ref.tobytes():
+            raise AssertionError(f"{name}: Eq. 9 update differs from the dict reference")
+    return {
+        "extract_ms": round(seconds * 1e3, 3),
+        "extract_reference_ms": round(reference_seconds * 1e3, 3),
+        "extract_speedup": round(reference_seconds / max(seconds, 1e-9), 2),
+        "extract_paths": len(paths),
+        "extract_pin_pairs": len(pairs),
+        "extract_heap_fallbacks": stats.num_heap_fallbacks,
+    }
+
+
 def bench_design(name: str) -> dict:
     build_seconds, design = _time(lambda: load_benchmark(name))
 
@@ -315,6 +365,12 @@ def bench_design(name: str) -> dict:
     # reference end to end).
     backend = _bench_backend(name, design, cx, cy, legalize_repeat=3, detailed_repeat=3)
 
+    # Measured last, like the XL row (see bench_xl_design).
+    extract_engine = STAEngine(design)
+    extraction = _bench_extraction(
+        name, extract_engine, extract_engine.update_timing(cx, cy), repeat=7
+    )
+
     return {
         "design": name,
         "num_instances": design.num_instances,
@@ -358,6 +414,7 @@ def bench_design(name: str) -> dict:
         "gp_tracing_overhead": round(
             gp_traced_seconds / max(gp_plain_seconds, 1e-9) - 1.0, 4
         ),
+        **extraction,
         **backend,
     }
 
@@ -514,6 +571,16 @@ def bench_xl_design(name: str, *, scale: float = 1.0) -> dict:
                 f"{row['detailed_speedup']:.2f}x below the "
                 f"{DETAILED_XL_MIN_SPEEDUP:.0f}x floor"
             )
+
+    # Critical-path extraction on the initial placement's timing.  Measured
+    # last: the reference heap churns enough memory to slow the walls
+    # measured after it.
+    extract_engine = STAEngine(design, constraints)
+    row.update(
+        _bench_extraction(
+            name, extract_engine, extract_engine.update_timing(cx, cy), repeat=3
+        )
+    )
 
     shutdown_kernel_pools()
     return row

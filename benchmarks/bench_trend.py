@@ -16,6 +16,8 @@ Gated rows are the wall-clock numbers the perf gates care about:
 * ``legalize_ms`` / ``detailed_ms`` — back-end walls: array-backed Abacus
   legalization and the delta-HPWL detailed-placement pass (capped at the
   XL tier; see ``bench_core.DETAILED_XL_CANDIDATES``).
+* ``extract_ms`` — the paper's ``report_timing_endpoint(n, 1)`` over every
+  failing endpoint plus the Eq. 9 pin-pair update.
 
 On top of the baseline diff, every fresh row carrying both ``gp_plain_ms``
 and ``gp_traced_ms`` is checked *pairwise*: the traced run may not exceed
@@ -55,6 +57,7 @@ GATED_FIELDS = (
     "snapshot_rebuild_ms",
     "legalize_ms",
     "detailed_ms",
+    "extract_ms",
 )
 # XL tier (payload key "xl_designs"): only the *serial* hot-path walls are
 # gated.  The kernel-pool speedup fields (congestion_map_speedup_w4, ...)
@@ -65,6 +68,7 @@ XL_GATED_FIELDS = (
     "gp_iter_ms",
     "legalize_ms",
     "detailed_ms",
+    "extract_ms",
 )
 XL_INFO_FIELDS = (
     "congestion_map_speedup_w4",

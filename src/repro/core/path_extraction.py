@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.timing.report import (
     PathExtractionStats,
-    TimingPath,
+    PathSet,
     report_timing,
     report_timing_endpoint,
 )
@@ -66,7 +66,7 @@ class CriticalPathExtractor:
         result: Optional[STAResult] = None,
         *,
         num_endpoints: Optional[int] = None,
-    ) -> Tuple[List[TimingPath], PathExtractionStats]:
+    ) -> Tuple[PathSet, PathExtractionStats]:
         """Extract critical paths according to the configured policy.
 
         ``num_endpoints`` overrides the automatic "all failing endpoints"
@@ -90,7 +90,7 @@ class CriticalPathExtractor:
                 elapsed_seconds=0.0,
             )
             self.history.append(stats)
-            return [], stats
+            return PathSet.empty(self.engine.graph), stats
 
         if self.config.mode == "endpoint":
             paths, stats = report_timing_endpoint(

@@ -23,11 +23,18 @@ import numpy as np
 from repro.netlist.core import as_core
 from repro.core.losses import PairLoss, QuadraticLoss
 from repro.timing.graph import TimingGraph
-from repro.timing.report import TimingPath
+from repro.timing.report import PathSet, TimingPath, pair_keys, unpack_pair_keys
 
 
 class PinPairSet:
-    """The maintained set ``P`` of critical pin pairs with dynamic weights."""
+    """The maintained set ``P`` of critical pin pairs with dynamic weights.
+
+    Pairs are stored as packed int64 keys (see
+    :func:`repro.timing.report.pair_keys`) with float64 weights, both in
+    first-insertion order, which is the order :meth:`as_arrays` reports and
+    the attraction gradient scatters in.  A sorted copy of the keys serves
+    lookups and the Eq. 9 merge.
+    """
 
     def __init__(
         self,
@@ -39,9 +46,27 @@ class PinPairSet:
         self.w0 = float(w0)
         self.w1 = float(w1)
         self.max_weight = max_weight
-        self._weights: Dict[Tuple[int, int], float] = {}
+        self._store(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
         # Bumped on every mutation; consumers key derived-array caches on it.
         self._version = 0
+
+    def _store(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        self._keys = keys
+        self._weights = weights
+        self._sorted_slot = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._sorted_slot]
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """Insertion-order slot of each key, -1 where absent."""
+        if self._sorted_keys.size == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        at = np.searchsorted(self._sorted_keys, keys)
+        np.minimum(at, self._sorted_keys.size - 1, out=at)
+        hit = self._sorted_keys[at] == keys
+        return np.where(hit, self._sorted_slot[at], -1)
+
+    def _slot(self, pair: Tuple[int, int]) -> int:
+        return int(self._slots(pair_keys(np.array([pair[0]]), np.array([pair[1]])))[0])
 
     @property
     def version(self) -> int:
@@ -50,19 +75,21 @@ class PinPairSet:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._weights)
+        return int(self._keys.size)
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
-        return pair in self._weights
+        return self._slot(pair) >= 0
 
     def weight(self, pair: Tuple[int, int]) -> float:
-        return self._weights.get(pair, 0.0)
+        slot = self._slot(pair)
+        return float(self._weights[slot]) if slot >= 0 else 0.0
 
     def items(self) -> Iterable[Tuple[Tuple[int, int], float]]:
-        return self._weights.items()
+        pin_i, pin_j = unpack_pair_keys(self._keys)
+        return list(zip(zip(pin_i.tolist(), pin_j.tolist()), self._weights.tolist()))
 
     def clear(self) -> None:
-        self._weights.clear()
+        self._store(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -78,7 +105,52 @@ class PinPairSet:
         worst negative slack at this timing iteration; paths with
         non-negative slack are ignored (positive slacks are disregarded in
         timing metrics, as the paper's Fig. 2 discussion stresses).
+
+        The pairs are visited in path order, as
+        :meth:`_reference_update_from_paths` does one at a time: a new pair
+        enters with ``w0`` and every later visit adds ``w1 * slack / wns``
+        (clamped at ``max_weight``).  ``np.add.at`` applies the additions in
+        visit order, so each pair's weight rounds as in the sequential fold;
+        with non-negative additions, clamping the final sum equals clamping
+        after every addition.
         """
+        path_set = PathSet.from_paths(paths, graph)
+        wns = min(wns, -1e-12)
+        owner, keys = path_set.net_pair_keys()
+        slack = path_set.slack[owner]
+        failing = ~(slack >= 0)
+        keys = keys[failing]
+        increment = self.w1 * (slack[failing] / wns)
+        if self.max_weight is not None and not np.all(increment >= 0):
+            return self._reference_update_from_paths(path_set, graph, wns)
+
+        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        slot = self._slots(unique)
+        fresh = np.flatnonzero(slot < 0)
+        # New pairs enter in the order of their first visit.
+        fresh = fresh[np.argsort(first[fresh], kind="stable")]
+        old_size = self._keys.size
+        slot[fresh] = old_size + np.arange(fresh.size, dtype=np.int64)
+        weights = np.concatenate([self._weights, np.full(fresh.size, self.w0)])
+        visits = np.ones(keys.size, dtype=bool)
+        visits[first[fresh]] = False  # a first visit only inserts
+        visit_slot = slot[inverse][visits]
+        np.add.at(weights, visit_slot, increment[visits])
+        if self.max_weight is not None and visit_slot.size:
+            touched = np.unique(visit_slot)
+            weights[touched] = np.minimum(weights[touched], self.max_weight)
+        self._store(np.concatenate([self._keys, unique[fresh]]), weights)
+        self._version += 1
+        return int(fresh.size)
+
+    def _reference_update_from_paths(
+        self,
+        paths: Sequence[TimingPath],
+        graph: TimingGraph,
+        wns: float,
+    ) -> int:
+        """One pair at a time through a dict (bitwise reference for tests)."""
+        table: Dict[Tuple[int, int], float] = dict(self.items())
         wns = min(wns, -1e-12)
         added = 0
         for path in paths:
@@ -87,33 +159,37 @@ class PinPairSet:
                 continue
             share = slack / wns  # in (0, 1], 1 for the most critical path
             for pair in path.pin_pairs(graph):
-                if pair not in self._weights:
-                    self._weights[pair] = self.w0
+                if pair not in table:
+                    table[pair] = self.w0
                     added += 1
                 else:
-                    updated = self._weights[pair] + self.w1 * share
+                    updated = table[pair] + self.w1 * share
                     if self.max_weight is not None:
                         updated = min(updated, self.max_weight)
-                    self._weights[pair] = updated
+                    table[pair] = updated
+        self._set_table(table)
         self._version += 1
         return added
 
+    def _set_table(self, weights: Mapping[Tuple[int, int], float]) -> None:
+        pairs = np.array(list(weights.keys()), dtype=np.int64).reshape(-1, 2)
+        self._store(
+            pair_keys(pairs[:, 0], pairs[:, 1]),
+            np.array(list(weights.values()), dtype=np.float64),
+        )
+
     def set_weights(self, weights: Mapping[Tuple[int, int], float]) -> None:
         """Replace the pair set wholesale (used by smoothed baselines)."""
-        self._weights = dict(weights)
+        self._set_table(weights)
         self._version += 1
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(pin_i, pin_j, weight)`` arrays for vectorized evaluation."""
-        if not self._weights:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), np.zeros(0, dtype=np.float64)
-        pairs = np.array(list(self._weights.keys()), dtype=np.int64)
-        weights = np.array(list(self._weights.values()), dtype=np.float64)
-        return pairs[:, 0], pairs[:, 1], weights
+        """Return ``(pin_i, pin_j, weight)`` arrays in first-insertion order."""
+        pin_i, pin_j = unpack_pair_keys(self._keys)
+        return pin_i, pin_j, self._weights.copy()
 
     def total_weight(self) -> float:
-        return float(sum(self._weights.values()))
+        return float(sum(self._weights.tolist()))
 
 
 @dataclass

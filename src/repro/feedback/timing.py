@@ -30,7 +30,7 @@ Whether a firing resets the optimizer's momentum is the scheduler's call
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.core.path_extraction import CriticalPathExtractor, ExtractionConfig
 from repro.core.pin_attraction import PinAttractionObjective, PinPairSet
 from repro.feedback.base import FeedbackUpdate, PlacementFeedback
 from repro.timing.mcmm import MultiCornerResult, MultiCornerSTA
+from repro.timing.report import PathSet
 from repro.timing.sta import STAResult
 from repro.utils.logging import get_logger
 from repro.weighting.net_weighting import MomentumNetWeighting, net_criticality
@@ -212,27 +213,28 @@ class PinPairAttractionFeedback(TimingFeedback):
             )
         ctx.pin_pairs = self.pairs
         self.beta_calibrated = self.beta_mode != "auto"
-        self.paths: List[Any] = []
+        self.paths: Optional[PathSet] = None
 
     def attach(self, placer: "GlobalPlacer") -> None:
         placer.add_objective_term(self.attraction)
 
     def analyze(self, result: "STAResult | MultiCornerResult") -> None:
-        self.paths = []
+        corner_paths = []
         for index, extractor in enumerate(self.extractors):
             corner_result = (
                 result.corner_result(index)
                 if isinstance(result, MultiCornerResult)
                 else result
             )
-            corner_paths, stats = extractor.extract(corner_result)
-            self.paths.extend(corner_paths)
+            paths, stats = extractor.extract(corner_result)
+            corner_paths.append(paths)
             self.ctx.extraction_stats.append(stats)
+        self.paths = PathSet.concat(corner_paths, self.sta.graph)
 
     def apply(self, placer, result, x, y) -> None:
         # Consume the firing's paths so they are not kept alive between
-        # firings (at XL they are thousands of path objects).
-        paths, self.paths = self.paths, []
+        # firings.
+        paths, self.paths = self.paths, None
         self.pairs.update_from_paths(paths, self.sta.graph, result.wns)
         if not self.beta_calibrated and len(self.pairs) > 0:
             self.beta_calibrated = calibrate_attraction_weight(

@@ -185,11 +185,15 @@ class STAResult:
 
     @property
     def failing_endpoints(self) -> np.ndarray:
-        """Endpoint pin indices with negative slack, worst first (memoized)."""
+        """Endpoint pin indices with negative slack, worst first (memoized).
+
+        Ties keep endpoint order (stable sort), so this is the order in which
+        path extraction visits failing endpoints.
+        """
         if self._failing_cache is None:
             mask = self.endpoint_slack < 0
             failing = self.endpoint_pins[mask]
-            order = np.argsort(self.endpoint_slack[mask])
+            order = np.argsort(self.endpoint_slack[mask], kind="stable")
             self._failing_cache = failing[order]
         return self._failing_cache
 

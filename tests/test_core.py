@@ -15,9 +15,18 @@ from repro.core import (
     SinglePathOptimizer,
     make_loss,
 )
-from repro.timing import STAEngine, report_timing_endpoint
+from repro.timing import PathSet, STAEngine, TimingPath, report_timing_endpoint
 
 finite = st.floats(-500, 500, allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def pair_graph():
+    """A small timing graph shared by the Eq. 9 parity property."""
+    from repro.benchgen import CircuitSpec, generate_circuit
+
+    design = generate_circuit(CircuitSpec(name="pairs", num_cells=60, seed=5))
+    return STAEngine(design).graph
 
 
 class TestLosses:
@@ -147,6 +156,65 @@ class TestPinPairSet:
         assert pairs.total_weight() == 3.0
         pairs.clear()
         assert len(pairs) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_update_matches_reference(self, pair_graph, data):
+        """The array Eq. 9 merge equals the dict fold bit for bit: weights,
+        first-insertion order and the added counts, over sequences with
+        duplicate pairs, positive-slack paths and a max_weight clamp."""
+        graph = pair_graph
+        # A small arc pool (net and cell arcs) makes pairs repeat often.
+        pool = data.draw(
+            st.lists(st.integers(0, graph.num_arcs - 1), min_size=1, max_size=12, unique=True)
+        )
+        w0 = data.draw(st.floats(0.5, 20.0))
+        w1 = data.draw(st.floats(-0.5, 2.0))
+        cap = data.draw(st.one_of(st.none(), st.floats(0.5, 30.0)))
+        fast = PinPairSet(w0=w0, w1=w1, max_weight=cap)
+        reference = PinPairSet(w0=w0, w1=w1, max_weight=cap)
+        seeded = data.draw(st.booleans())
+        if seeded:
+            arc = pool[0]
+            start = {(int(graph.arc_from[arc]), int(graph.arc_to[arc])): 25.0}
+            fast.set_weights(start)
+            reference.set_weights(start)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = [
+                TimingPath(
+                    pins=[],
+                    arcs=data.draw(st.lists(st.sampled_from(pool), max_size=8)),
+                    arrival=data.draw(st.floats(0.0, 300.0)),
+                    required=data.draw(st.floats(0.0, 300.0)),
+                    endpoint=0,
+                    startpoint=0,
+                )
+                for _ in range(data.draw(st.integers(0, 6)))
+            ]
+            wns = data.draw(st.floats(-400.0, 10.0))
+            as_set = data.draw(st.booleans())
+            given_paths = PathSet.from_paths(paths, graph) if as_set else paths
+            added = fast.update_from_paths(given_paths, graph, wns)
+            assert added == reference._reference_update_from_paths(paths, graph, wns)
+            for got, want in zip(fast.as_arrays(), reference.as_arrays()):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert fast.items() == reference.items()
+            assert fast.version == reference.version
+
+    def test_as_arrays_keeps_insertion_order(self, pair_graph):
+        pairs = PinPairSet(w0=1.0)
+        pairs.set_weights({(9, 3): 2.0, (1, 8): 4.0})
+        graph = pair_graph
+        net = np.flatnonzero(graph.arc_kind == 1)[:3][::-1]
+        path = TimingPath([], net.tolist(), 10.0, 5.0, 0, 0)
+        assert pairs.update_from_paths([path], graph, -5.0) == 3
+        pin_i, pin_j, weights = pairs.as_arrays()
+        expected = [(9, 3), (1, 8)] + [
+            (int(graph.arc_from[a]), int(graph.arc_to[a])) for a in net
+        ]
+        assert list(zip(pin_i.tolist(), pin_j.tolist())) == expected
+        assert weights.tolist() == [2.0, 4.0, 1.0, 1.0, 1.0]
 
 
 class TestPinAttractionObjective:

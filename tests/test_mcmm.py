@@ -178,6 +178,47 @@ class TestMultiCornerSemantics:
         assert [p.pins for p in paths] == [p.pins for p in ref_paths]
         assert [p.slack for p in paths] == [p.slack for p in ref_paths]
 
+    def test_three_corner_efficient_tdp_extraction_matches_references(self, monkeypatch):
+        """A 3-corner efficient_tdp run: every corner's k = 1 extraction
+        equals the reference heap and every Eq. 9 update on the pooled
+        corner paths equals the dict fold, bit for bit."""
+        from repro.core import CriticalPathExtractor, PinPairSet
+        from repro.timing.report import _reference_worst_paths_to_endpoint
+
+        extract = CriticalPathExtractor.extract
+        update = PinPairSet.update_from_paths
+        seen = {"corners": set(), "paths": 0, "updates": 0}
+
+        def checked_extract(self, result=None, **kwargs):
+            paths, stats = extract(self, result, **kwargs)
+            reference = [
+                path
+                for endpoint in result.failing_endpoints.tolist()
+                for path in _reference_worst_paths_to_endpoint(self.engine, result, endpoint, 1)
+            ]
+            assert list(paths) == reference
+            seen["corners"].add(self.engine.index)
+            seen["paths"] += len(paths)
+            return paths, stats
+
+        def checked_update(self, paths, graph, wns):
+            shadow = PinPairSet(w0=self.w0, w1=self.w1, max_weight=self.max_weight)
+            shadow.set_weights(dict(self.items()))
+            expected = shadow._reference_update_from_paths(paths, graph, wns)
+            assert update(self, paths, graph, wns) == expected
+            for got, want in zip(self.as_arrays(), shadow.as_arrays()):
+                assert got.tobytes() == want.tobytes()
+            seen["updates"] += 1
+            return expected
+
+        monkeypatch.setattr(CriticalPathExtractor, "extract", checked_extract)
+        monkeypatch.setattr(PinPairSet, "update_from_paths", checked_update)
+        design = load_benchmark("sb_mini_1", scale=0.4)
+        result = build_flow("efficient_tdp", corners="fast,typ,slow", **_FAST).run(design)
+        assert seen["corners"] == {0, 1, 2}
+        assert seen["paths"] > 0 and seen["updates"] > 0
+        assert len(result.context.pin_pairs) > 0
+
     def test_mode_specific_constraints(self, design):
         tight = TimingConstraints.from_design(design)
         tight.clock_period *= 0.5
